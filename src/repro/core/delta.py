@@ -260,25 +260,21 @@ class DeltaTree:
         node.count -= n
         for parent, key in reversed(path):
             parent.count -= n
-            # prune empty children to keep min-descent fast
-            child_empty = False
+            # prune empty children to keep min-descent fast;
+            # best-effort, the counts are authoritative
             if parent.kind == KIND_PAR:
                 if parent.par_child is not None and parent.par_child.count == 0:
                     parent.par_child = None
-                    child_empty = True
             elif parent.kind == KIND_LIT:
                 assert isinstance(parent.children, dict)
                 if key is not None and parent.children[key].count == 0:
                     del parent.children[key]
-                    child_empty = True
             else:
                 assert isinstance(parent.children, SkipListMap)
                 if key is not None:
                     c = parent.children.get(key)
                     if c is not None and c.count == 0:
                         parent.children.delete(key)
-                        child_empty = True
-            del child_empty  # pruning is best-effort; counts are authoritative
         self._members.difference_update(batch)
         return batch
 

@@ -56,6 +56,7 @@ from repro.core.errors import (
     UnknownTableError,
 )
 from repro.core.executors.registry import resolve_executor
+from repro.core.gcquiet import drain_scope, step_boundary
 from repro.core.ordering import Timestamp, compare_timestamps
 from repro.core.program import ExecOptions, Program
 from repro.core.rules import Rule
@@ -1042,19 +1043,23 @@ class StepKernel:
     def drain(self) -> int:
         """Run all-minimums steps until Delta is empty; returns the
         number of steps taken.  Advances the high-water mark to the
-        timestamp of each popped class."""
+        timestamp of each popped class.  Objects that survive a step
+        are frozen out of the cyclic collector until the drain ends
+        (:mod:`repro.core.gcquiet`)."""
         before = self.steps
         max_steps = self.options.max_steps
-        while self.delta:
-            if max_steps is not None and self.steps >= max_steps:
-                raise EngineError(
-                    f"program exceeded max_steps={max_steps}; "
-                    f"{len(self.delta)} tuples still pending"
-                )
-            self.steps += 1
-            batch = self._pop_super_batch() if self._coalesce else self.delta.pop_min_class()
-            self.high_water = self.db.timestamp(batch[-1])
-            self._run_step(batch)
+        with drain_scope():
+            while self.delta:
+                if max_steps is not None and self.steps >= max_steps:
+                    raise EngineError(
+                        f"program exceeded max_steps={max_steps}; "
+                        f"{len(self.delta)} tuples still pending"
+                    )
+                self.steps += 1
+                batch = self._pop_super_batch() if self._coalesce else self.delta.pop_min_class()
+                self.high_water = self.db.timestamp(batch[-1])
+                self._run_step(batch)
+                step_boundary()
         return self.steps - before
 
     def flush_stats(self) -> None:

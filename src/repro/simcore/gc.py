@@ -22,6 +22,10 @@ The tax is added to the step makespan as serial time (stop-the-world),
 so it hurts *parallel* efficiency far more than sequential runs — a
 1-core run is slowed by the same seconds, but an 8-core run loses 8
 cores' worth of potential work while the collector runs.
+
+The real engine now limits full-heap rescans by freezing settled state
+at each step boundary (:mod:`repro.core.gcquiet`); this virtual-time
+model is unchanged.
 """
 
 from __future__ import annotations
