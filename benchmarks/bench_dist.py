@@ -78,8 +78,8 @@ def _calibration(n: int = 2_000_000) -> float:
     return time.perf_counter() - t0
 
 
-def run_bench(rounds: int = 2, worker_counts=WORKER_COUNTS) -> dict:
-    legs = [(t, w) for t in TRANSPORTS for w in worker_counts]
+def run_bench(rounds: int = 2) -> dict:
+    legs = [(t, w) for t in TRANSPORTS for w in WORKER_COUNTS]
     walls: dict[tuple[str, int], float] = {leg: float("inf") for leg in legs}
     seq_wall = float("inf")
     results: dict[tuple[str, int], object] = {}
@@ -147,7 +147,7 @@ def run_bench(rounds: int = 2, worker_counts=WORKER_COUNTS) -> dict:
                 "extra_edges": SPEC.extra_edges,
                 "max_weight": SPEC.max_weight,
             },
-            "worker_counts": list(worker_counts),
+            "worker_counts": list(WORKER_COUNTS),
             "method": "interleaved, min wall across rounds, 1 warmup round",
             "rounds": rounds,
             "target": (
@@ -163,14 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="BENCH_pr10.json")
     ap.add_argument("--rounds", type=int, default=2)
-    ap.add_argument(
-        "--quick",
-        action="store_true",
-        help="drop the 16-worker legs (CI smoke)",
-    )
     args = ap.parse_args(argv)
-    counts = tuple(w for w in WORKER_COUNTS if not (args.quick and w > 8))
-    bench = run_bench(rounds=args.rounds, worker_counts=counts)
+    bench = run_bench(rounds=args.rounds)
     Path(args.out).write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     for transport in TRANSPORTS:
         for w, e in sorted(bench["transports"][transport].items(), key=lambda x: int(x[0])):

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.database import InsertOutcome
 from repro.core.executors.base import StepExecutor
 from repro.core.executors.scalar import ScalarExecutor
-from repro.core.ordering import Lit, Timestamp
+from repro.core.ordering import Lit, Timestamp, output_keys
 from repro.core.rules import Rule
 from repro.core.tuples import JTuple
 from repro.exec.base import TaskResult
@@ -173,10 +173,8 @@ class CodegenExecutor(StepExecutor):
         driver(tup, ts, puts, out)
         if out:
             result.output.extend(out)
-            tie = (name, tuple(repr(v) for v in tup.values))
-            ridx = k._rule_index[id(rule)]
             result.out_keys.extend(
-                (ts.key, tie, ridx, j) for j in range(len(out))
+                output_keys(ts.key, tup, k._rule_index[id(rule)], len(out))
             )
             k.stats.rule(rule.name).output_lines += len(out)
         if puts:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.database import InsertOutcome
 from repro.core.executors.base import StepExecutor
-from repro.core.ordering import Lit, Timestamp
+from repro.core.ordering import Lit, Timestamp, output_keys
 from repro.core.rules import Rule
 from repro.core.tuples import JTuple
 from repro.exec.base import TaskResult
@@ -226,12 +226,9 @@ class ColumnarExecutor(StepExecutor):
             result.fired_rules.append(rule.name)
         if ctx.output:
             result.output.extend(ctx.output)
-            tie = (tup.schema.name, tuple(repr(v) for v in tup.values))
             ridx = k._rule_index[id(rule)]
-            result.out_keys.extend(
-                (ctx.trigger_ts.key, tie, ridx, j)
-                for j in range(len(ctx.output))
-            )
+            n = len(ctx.output)
+            result.out_keys.extend(output_keys(ctx.trigger_ts.key, tup, ridx, n))
             k.stats.rule(rule.name).output_lines += len(ctx.output)
         puts = ctx.puts
         # release before routing puts: a -noDelta cascade triggered by

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.core.database import InsertOutcome
 from repro.core.executors.base import StepExecutor
+from repro.core.ordering import output_keys
 from repro.core.rules import Rule, RuleContext
 from repro.core.support import FiringRecord
 from repro.core.tuples import JTuple
@@ -62,15 +63,11 @@ class ScalarExecutor(StepExecutor):
         if ctx.output:
             result.output.extend(ctx.output)
             if rec is None:
-                # same key shape as _output_key, so the per-step sort in
-                # _run_step reproduces the keyed order retraction mode
-                # maintains via _insert_output
-                tie = (tup.schema.name, tuple(repr(v) for v in tup.values))
+                # the keys retraction mode maintains via _insert_output,
+                # so the per-step sort in _run_step reproduces its order
                 ridx = k._rule_index[id(rule)]
-                result.out_keys.extend(
-                    (ctx.trigger_ts.key, tie, ridx, j)
-                    for j in range(len(ctx.output))
-                )
+                n = len(ctx.output)
+                result.out_keys.extend(output_keys(ctx.trigger_ts.key, tup, ridx, n))
             k.stats.rule(rule.name).output_lines += len(ctx.output)
         if rec is not None:
             rec.puts = tuple(ctx.puts)

@@ -57,7 +57,12 @@ from repro.core.errors import (
 )
 from repro.core.executors.registry import resolve_executor
 from repro.core.gcquiet import drain_scope, step_boundary
-from repro.core.ordering import Timestamp, compare_timestamps
+from repro.core.ordering import (
+    Timestamp,
+    compare_timestamps,
+    emit_step_output,
+    output_keys,
+)
 from repro.core.program import ExecOptions, Program
 from repro.core.rules import Rule
 from repro.core.support import SupportIndex
@@ -681,17 +686,12 @@ class StepKernel:
 
     # -- retraction: keyed output ----------------------------------------------
 
-    def _output_key(self, rec: FiringRecord, j: int) -> tuple:
-        """Deterministic sort key of one printed line: trigger timestamp
-        key, then a trigger tie-break, then rule position, then line
-        position within the firing.  Sorting by this key reproduces the
-        causal append order whenever at most one firing per equivalence
-        class prints (true of every example app: output goes through
-        dedicated println tables with singleton classes)."""
+    def _output_keys(self, rec: FiringRecord) -> list[tuple]:
+        """Keys of a firing's printed lines (:func:`output_keys`)."""
         trig = rec.trigger
-        ts = self.db.timestamp(trig)
-        tie = (trig.schema.name, tuple(repr(v) for v in trig.values))
-        return (ts.key, tie, rec.rule_index, j)
+        return output_keys(
+            self.db.timestamp(trig).key, trig, rec.rule_index, len(rec.lines)
+        )
 
     def _insert_output(self, key: tuple, line: str) -> None:
         i = bisect_right(self._out_keys, key)
@@ -717,12 +717,10 @@ class StepKernel:
             return
         sup.register(rec)
         if rec.lines:
-            out = []
-            for j, line in enumerate(rec.lines):
-                key = self._output_key(rec, j)
+            out = tuple(zip(self._output_keys(rec), rec.lines))
+            for key, line in out:
                 self._insert_output(key, line)
-                out.append((key, line))
-            rec.out_lines = tuple(out)
+            rec.out_lines = out
 
     # -- retraction: feed-side event processing ---------------------------------
 
@@ -938,10 +936,7 @@ class StepKernel:
             for r in results:
                 if r.output:
                     step_lines.extend(zip(r.out_keys, r.output))
-            if step_lines:
-                if len(step_lines) > 1:
-                    step_lines.sort(key=lambda kl: kl[0])
-                self.output.extend(line for _key, line in step_lines)
+            emit_step_output(self.output, step_lines)
         if self._metered:
             allocations = 0.0
             for r in results:

@@ -32,9 +32,13 @@ tuples the all-minimums strategy runs in parallel (§5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.errors import OrderingError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.tuples import JTuple
 
 __all__ = [
     "Lit",
@@ -47,6 +51,8 @@ __all__ = [
     "KIND_LIT",
     "KIND_SEQ",
     "KIND_PAR",
+    "output_keys",
+    "emit_step_output",
 ]
 
 # Component kind codes used inside Timestamp keys.
@@ -373,3 +379,29 @@ def evaluate_orderby(
             key.append((KIND_PAR,))
             display.append(v)
     return Timestamp(tuple(key), tuple(display))
+
+
+# -- canonical output order -----------------------------------------------------
+
+_KEY = itemgetter(0)
+
+
+def output_keys(
+    ts_key: tuple, trigger: "JTuple", rule_index: int, n: int
+) -> list[tuple]:
+    """Sort keys of the ``n`` lines one firing printed: the trigger's
+    timestamp key, a trigger tie-break (table, value reprs), the rule's
+    declaration position, then the line's position within the firing.
+    Every runtime keys output this way, so sorting a step's lines by it
+    makes the output a pure function of the step's firing set instead
+    of the order its firings happened to run in."""
+    tie = (trigger.schema.name, tuple(repr(v) for v in trigger.values))
+    return [(ts_key, tie, rule_index, j) for j in range(n)]
+
+
+def emit_step_output(output: list[str], step_lines: list[tuple[tuple, str]]) -> None:
+    """Append one step's ``(key, line)`` pairs to ``output`` in key order
+    (a step is one equivalence class)."""
+    if len(step_lines) > 1:
+        step_lines.sort(key=_KEY)
+    output.extend(line for _key, line in step_lines)

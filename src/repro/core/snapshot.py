@@ -162,8 +162,8 @@ def _restore_support(k, data: dict, schemas) -> None:
                 )
             )
         sup.register_restored(rec)
-        for j, line in enumerate(rec.lines):
-            entries.append((k._output_key(rec, j), line, rec, j))
+        for j, (key, line) in enumerate(zip(k._output_keys(rec), rec.lines)):
+            entries.append((key, line, rec, j))
     sup.next_fid = int(data.get("next_fid", 0))
     entries.sort(key=lambda e: e[0])
     k._out_keys = [key for key, _line, _rec, _j in entries]

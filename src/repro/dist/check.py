@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.program import Program
-from repro.dist.placement import OnNode, PlacementMap, Partitioned, Replicated
+from repro.dist.placement import PlacementMap
 from repro.solver.obligations import RuleMeta
 
 __all__ = ["QueryLocality", "check_locality", "locality_summary"]
@@ -56,21 +56,10 @@ def _classify_observed(
     run) — one finding per query, with the real table name."""
     findings = []
     for table, eq_fields in shapes:
-        placement = pm[table]
-        if isinstance(placement, Replicated):
-            verdict, detail = "local", "replicated (observed query)"
-        elif isinstance(placement, OnNode):
-            verdict = "routed"
-            detail = f"pinned to node {placement.node} (observed query)"
-        elif placement.field in eq_fields:
-            verdict = "routed"
-            detail = f"binds partition field {placement.field!r} (observed query)"
-        else:
-            verdict = "broadcast"
-            detail = (
-                f"partition field {placement.field!r} unbound (observed query)"
-            )
-        findings.append(QueryLocality(rule, table, verdict, detail))
+        verdict, detail = pm.locality(table, dict.fromkeys(eq_fields, True))
+        findings.append(
+            QueryLocality(rule, table, verdict, f"{detail} (observed query)")
+        )
     return findings
 
 
@@ -114,48 +103,12 @@ def check_locality(
                     )
                 )
             continue
-        trig_schema = meta.trigger_schema
-        trig_placement = pm[trig_schema.name]
-        trig_part_term = None
-        if isinstance(trig_placement, Partitioned):
-            trig_part_term = meta.trigger.get(trig_placement.field)
+        # a partitioned trigger's own partition term (None otherwise)
+        trig_field = getattr(pm[meta.trigger_schema.name], "field", None)
+        trig_term = meta.trigger.get(trig_field) if trig_field else None
         for branch in meta.branches:
             for q in branch.queries:
-                placement = pm[q.schema.name]
-                if isinstance(placement, Replicated):
-                    findings.append(
-                        QueryLocality(rule.name, q.schema.name, "local", "replicated")
-                    )
-                    continue
-                if isinstance(placement, OnNode):
-                    findings.append(
-                        QueryLocality(
-                            rule.name, q.schema.name, "routed",
-                            f"pinned to node {placement.node}",
-                        )
-                    )
-                    continue
-                bound = q.bound.get(placement.field)
-                if bound is None:
-                    findings.append(
-                        QueryLocality(
-                            rule.name, q.schema.name, "broadcast",
-                            f"partition field {placement.field!r} unbound",
-                        )
-                    )
-                    continue
-                if trig_part_term is not None and bound == trig_part_term:
-                    findings.append(
-                        QueryLocality(
-                            rule.name, q.schema.name, "local",
-                            f"co-partitioned on {placement.field!r} with the trigger",
-                        )
-                    )
-                else:
-                    findings.append(
-                        QueryLocality(
-                            rule.name, q.schema.name, "routed",
-                            f"binds partition field {placement.field!r}",
-                        )
-                    )
+                table = q.schema.name
+                verdict, detail = pm.locality(table, q.bound, trig_term)
+                findings.append(QueryLocality(rule.name, table, verdict, detail))
     return findings

@@ -26,17 +26,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 from repro.core.database import Database, InsertOutcome
 from repro.core.delta import DeltaTree
 from repro.core.errors import EngineError, EngineWarning
+from repro.core.ordering import emit_step_output, output_keys
 from repro.core.program import ExecOptions, Program
 from repro.core.query import Query
-from repro.core.rules import RuleContext
 from repro.core.tuples import JTuple
 from repro.dist.network import NetModel, StepTraffic
-from repro.dist.placement import OnNode, Partitioned, Placement, PlacementMap, Replicated
+from repro.dist.placement import Placement, PlacementMap, spread_hash
+from repro.dist.router import RoutedRuleContext
 from repro.exec.metering import CostMeter
 from repro.gamma.base import StoreRegistry
 from repro.gamma.treeset import TreeSetStore
@@ -164,57 +166,6 @@ class DistRunResult:
         return sum(self.shard_sizes[table])
 
 
-class _DistRuleContext(RuleContext):
-    """Rule context whose queries route across the cluster."""
-
-    __slots__ = ("_engine", "_node")
-
-    def __init__(self, engine: "DistEngine", node: int, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._engine = engine
-        self._node = node
-
-    def _run_query(self, query: Query) -> list[JTuple]:
-        engine = self._engine
-        name = query.schema.name
-        placement = engine.placements[name]
-        node = self._node
-        if isinstance(placement, Replicated):
-            homes = [node]
-        elif isinstance(placement, OnNode):
-            # pins are validated against n_nodes at map construction;
-            # never wrap here (that silently re-homed bad pins)
-            homes = [placement.node]
-        else:  # Partitioned
-            pos = query.schema.field_position(placement.field)
-            if pos in query.eq:
-                homes = [placement.home_for_value(query.eq[pos], engine.n_nodes)]
-            else:
-                homes = list(range(engine.n_nodes))  # broadcast gather
-        results: list[JTuple] = []
-        for home in homes:
-            shard = engine.shards[home]
-            store = shard.store(name)
-            rows = shard.select(query)
-            self._meter.charge_store_op("lookup", store)
-            if rows:
-                self._meter.charge_store_op("result", store, len(rows))
-            if home != node:
-                engine.traffic.remote_query(node, home, len(rows))
-                engine.remote_queries += 1
-            results.extend(rows)
-        if self._collector is not None:
-            names = query.schema.field_names
-            self._collector.on_query(
-                self._rule.name,
-                name,
-                len(results),
-                eq_fields=tuple(sorted(names[i] for i in query.eq)),
-                range_fields=tuple(sorted(names[i] for i in query.ranges)),
-            )
-        return results
-
-
 class DistEngine:
     """One distributed execution of one program."""
 
@@ -280,12 +231,19 @@ class DistEngine:
             return home
         # replicated triggers: spread the work with a cross-run-stable
         # fold over the tuple's values (Python's hash is salted)
-        from repro.dist.placement import _stable_hash
+        return spread_hash(tup.values) % self.n_nodes
 
-        acc = 0
-        for v in tup.values:
-            acc = (acc * 31 + _stable_hash(v)) & 0x7FFFFFFF
-        return acc % self.n_nodes
+    def _fetch(
+        self, node: int, query: Query, homes: list[int]
+    ) -> dict[int, list[JTuple]]:
+        """``node``'s remote read: each home's shard answers directly,
+        charged to the modelled network as one round trip per home."""
+        out: dict[int, list[JTuple]] = {}
+        for home in homes:
+            rows = out[home] = self.shards[home].select(query)
+            self.traffic.remote_query(node, home, len(rows))
+            self.remote_queries += 1
+        return out
 
     def _insert_shards(self, tup: JTuple) -> InsertOutcome:
         """Insert a popped tuple into its owning shard(s)."""
@@ -345,9 +303,11 @@ class DistEngine:
                 self.stats.on_fire(tup.schema.name, rule.name)
                 meter.charge("rule_fire")
                 trigger_ts = self.shards[node].timestamp(tup)
-                ctx = _DistRuleContext(
-                    self,
+                ctx = RoutedRuleContext(
+                    self.placements,
                     node,
+                    self.n_nodes,
+                    partial(self._fetch, node),
                     self.shards[node],
                     self.program.decls,
                     meter,
@@ -360,24 +320,19 @@ class DistEngine:
                 rule.body(ctx, tup)
                 ctx.finish()
                 if ctx.output:
-                    tie = (tup.schema.name, tuple(repr(v) for v in tup.values))
-                    ridx = self._rule_index[id(rule)]
-                    step_lines.extend(
-                        ((trigger_ts.key, tie, ridx, j), line)
-                        for j, line in enumerate(ctx.output)
+                    keys = output_keys(
+                        trigger_ts.key, tup, self._rule_index[id(rule)], len(ctx.output)
                     )
+                    step_lines.extend(zip(keys, ctx.output))
                     self.stats.rule(rule.name).output_lines += len(ctx.output)
                 for put in ctx.puts:
                     self.stats.on_put(rule.name, put.schema.name)
                 pending.append((node, list(ctx.puts), meter))
             node_cost[node] += meter.total_cost
-        # output in canonical keyed order (a step is one equivalence
-        # class): same contract as the single-node kernel, so dist runs
-        # stay byte-identical when several firings of one class print
-        if step_lines:
-            if len(step_lines) > 1:
-                step_lines.sort(key=lambda kl: kl[0])
-            self.output.extend(line for _key, line in step_lines)
+        # output in canonical keyed order: same contract as the
+        # single-node kernel, so dist runs stay byte-identical when
+        # several firings of one class print
+        emit_step_output(self.output, step_lines)
         # phase C: route effects (deterministic order)
         for node, puts, meter in pending:
             for put in puts:

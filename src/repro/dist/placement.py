@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.errors import EngineError
+from repro.core.query import Query
 from repro.core.schema import TableSchema
 from repro.core.tuples import JTuple
 
@@ -179,6 +180,42 @@ class PlacementMap:
                 )
             return p.node
         return None
+
+    def query_homes(self, query: Query, n_nodes: int) -> list[int] | None:
+        """Nodes that must answer a query — the one routing decision both
+        distributed runtimes share.  None means any node (replicated):
+        the asker reads its own copy.  A partitioned table with its
+        partition field bound has one home; unbound, every node."""
+        p = self._map[query.schema.name]
+        if isinstance(p, Partitioned):
+            pos = query.schema.field_position(p.field)
+            if pos in query.eq:
+                return [p.home_for_value(query.eq[pos], n_nodes)]
+            return list(range(n_nodes))
+        if isinstance(p, OnNode):
+            # pins are validated against n_nodes at map construction;
+            # never wrap here (that silently re-homed bad pins)
+            return [p.node]
+        return None
+
+    def locality(
+        self, table: str, bound: Mapping[str, object], trigger_term=None
+    ) -> tuple[str, str]:
+        """Static twin of :meth:`query_homes`: ``(verdict, detail)`` of a
+        query on ``table`` binding ``bound`` (field → symbolic term).
+        Binding a partitioned trigger's own ``trigger_term`` proves the
+        query co-located with the firing."""
+        p = self._map[table]
+        if isinstance(p, Replicated):
+            return "local", "replicated"
+        if isinstance(p, OnNode):
+            return "routed", f"pinned to node {p.node}"
+        term = bound.get(p.field)
+        if term is None:
+            return "broadcast", f"partition field {p.field!r} unbound"
+        if trigger_term is not None and term == trigger_term:
+            return "local", f"co-partitioned on {p.field!r} with the trigger"
+        return "routed", f"binds partition field {p.field!r}"
 
     def owners_of(self, tup: JTuple, n_nodes: int) -> list[int]:
         """Every node whose shard stores this tuple: one node for

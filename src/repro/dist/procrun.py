@@ -30,8 +30,8 @@ The superstep protocol still mirrors the single-node
 * **phase B**: each non-duplicate tuple fires on exactly one node — its
   partition home, or the (adaptively reweighted, see
   :mod:`~repro.dist.rebalance`) stable-hash spread for replicated
-  triggers — via the unmodified
-  :class:`~repro.core.rules.RuleContext` machinery; remote queries go
+  triggers — through the query router both runtimes share
+  (:class:`~repro.dist.router.RoutedRuleContext`); remote queries go
   peer-to-peer and are ready-gated against the receiver's phase A;
 * **phase C**: the coordinator merges every worker's done records in
   global (batch index, rule declaration) order — the single-node task
@@ -75,9 +75,9 @@ from repro.core.database import Database
 from repro.core.delta import DeltaTree
 from repro.core.errors import EngineError, WorkerLostError
 from repro.core.kernel import RunResult
+from repro.core.ordering import emit_step_output, output_keys
 from repro.core.program import ExecOptions, Program
 from repro.core.tuples import JTuple
-from repro.dist.check import check_locality
 from repro.dist.engine import surface_exec_knobs
 from repro.dist.network import WireStats
 from repro.dist.placement import OnNode, PlacementMap, Partitioned, spread_hash
@@ -208,19 +208,10 @@ class ProcessShardRuntime:
         self._last_counters: dict[int, dict] = {}
         #: node -> counters carried over from crashed incarnations
         self._carry: dict[int, dict] = {}
-        # co-located queries proved by the static locality checker skip
-        # placement routing in the workers (reuse of the check_locality
-        # verdicts at runtime).  The set is keyed (rule, table), so a
-        # pair qualifies only when EVERY query that rule makes on that
-        # table is local — one routed query among locals must still route
-        verdicts: dict[tuple[str, str], bool] = {}
-        for f in check_locality(program, self.placements):
-            key = (f.rule, f.table)
-            verdicts[key] = verdicts.get(key, True) and f.verdict == "local"
         self._conf = {
             "check_mode": self._check_mode,
             "traced": self.tracer is not None,
-            "static_local": frozenset(k for k, ok in verdicts.items() if ok),
+            "plan_cache": self.options.plan_cache,
             "transport": self.transport,
             "fault_serve_die": fault_die_on_serve,
         }
@@ -603,13 +594,10 @@ class ProcessShardRuntime:
                         self.tracer.emit(kind, data)
                 out = entry["output"]
                 if out:
-                    tie = (name, tuple(repr(v) for v in tup.values))
-                    ridx = self._rule_pos[rule]
-                    ts_key = self.db.timestamp(tup).key
-                    step_lines.extend(
-                        ((ts_key, tie, ridx, j), line)
-                        for j, line in enumerate(out)
+                    keys = output_keys(
+                        self.db.timestamp(tup).key, tup, self._rule_pos[rule], len(out)
                     )
+                    step_lines.extend(zip(keys, out))
                     self.stats.rule(rule).output_lines += len(out)
                     n_output += len(out)
                 for j, (tname, vals) in enumerate(entry["puts"]):
@@ -634,13 +622,9 @@ class ProcessShardRuntime:
                         "node": node,
                     },
                 )
-        # output in canonical keyed order (a step is one equivalence
-        # class), matching the single-node kernel byte-for-byte when
-        # several firings of one class print
-        if step_lines:
-            if len(step_lines) > 1:
-                step_lines.sort(key=lambda kl: kl[0])
-            self.output.extend(line for _key, line in step_lines)
+        # output in canonical keyed order, matching the single-node
+        # kernel byte-for-byte when several firings of one class print
+        emit_step_output(self.output, step_lines)
         staged_now = {n: 0 for n in range(self.n_nodes)}
         dropped_now = 0
         if pending:

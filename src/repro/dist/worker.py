@@ -6,10 +6,11 @@ a thin loop around the existing single-node machinery:
 
 * its Gamma shard is a :class:`~repro.core.kernel.StepKernel` database
   (same registry construction, same insert/select semantics);
-* firing reuses :class:`~repro.core.rules.RuleContext` verbatim, except
-  that queries route across the cluster (:class:`_ShardRuleContext`),
-  the exact override point the simulated
-  :class:`~repro.dist.engine.DistEngine` uses.
+* firing goes through :class:`~repro.dist.router.RoutedRuleContext`,
+  the query router the simulated :class:`~repro.dist.engine.DistEngine`
+  shares: a query this shard answers alone keeps the compiled-plan
+  path, any other reaches its owners through
+  :meth:`ShardWorker.remote_query`.
 
 v2 replaces PR 5's coordinator relay with a **peer mesh**: every
 worker holds a direct :mod:`~repro.dist.transport` channel to every
@@ -42,8 +43,8 @@ retry), ``finish`` (report shard sizes + stats and exit).
 
 Determinism: a worker never mutates anything but its own shard, all
 effects (puts, output) travel back as records the coordinator merges in
-global batch order, and remote query results are value-sorted on the
-requesting side — so the merged run is byte-identical to the
+global batch order, and the router merges multi-shard query results
+in value order — so the merged run is byte-identical to the
 single-node engine.
 
 Idempotency: the reply to each executed step is cached; a retried step
@@ -68,10 +69,10 @@ from repro.core.errors import EngineError
 from repro.core.kernel import StepKernel
 from repro.core.program import ExecOptions, Program
 from repro.core.query import Query, QueryKind
-from repro.core.rules import RuleContext
 from repro.core.tuples import JTuple
 from repro.dist.network import WireStats
-from repro.dist.placement import OnNode, PlacementMap, Partitioned, Replicated
+from repro.dist.placement import PlacementMap
+from repro.dist.router import RoutedRuleContext
 from repro.dist.transport import (
     Channel,
     PeerListener,
@@ -106,77 +107,6 @@ class _StepAborted(Exception):
     (another worker died); the step will be re-broadcast."""
 
 
-class _ShardRuleContext(RuleContext):
-    """Rule context whose queries route across the cluster — directly
-    to the owning peers over the mesh.  Same override point as the
-    simulated engine's ``_DistRuleContext``; verdicts follow
-    ``check_locality``: local (replicated / co-partitioned / pinned
-    here), routed (one remote owner), or broadcast (partition field
-    unbound)."""
-
-    __slots__ = ("_worker",)
-
-    def __init__(self, worker: "ShardWorker", *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._worker = worker
-
-    def _run_query(self, query: Query) -> list[JTuple]:
-        w = self._worker
-        name = query.schema.name
-        local = True
-        remote: list[int] = []
-        if (self._rule.name, name) in w.static_local:
-            pass  # check_locality proved this query co-located
-        else:
-            placement = w.placements[name]
-            if isinstance(placement, Replicated):
-                pass
-            elif isinstance(placement, OnNode):
-                if placement.node != w.node:
-                    local = False
-                    remote = [placement.node]
-            else:  # Partitioned
-                pos = query.schema.field_position(placement.field)
-                if pos in query.eq:
-                    home = placement.home_for_value(query.eq[pos], w.n_nodes)
-                    if home != w.node:
-                        local = False
-                        remote = [home]
-                else:
-                    remote = [h for h in range(w.n_nodes) if h != w.node]
-        results = w.db.select(query) if local else []
-        if remote:
-            rows = w.remote_query(query, remote)
-            fetched = [w.make_tuple(name, vals) for vals in rows]
-            results = results + [t for t in fetched if query.matches(t)]
-            # per-shard result sets are value-sorted (TreeSetStore scan
-            # order); re-sorting the merged set by value reproduces the
-            # single-node global order exactly
-            results.sort(key=lambda t: t.values)
-        if self._collector is not None:
-            names = query.schema.field_names
-            self._collector.on_query(
-                self._rule.name,
-                name,
-                len(results),
-                eq_fields=tuple(sorted(names[i] for i in query.eq)),
-                range_fields=tuple(sorted(names[i] for i in query.ranges)),
-            )
-        if self._trace is not None:
-            self._trace.append(
-                (
-                    "query",
-                    {
-                        "rule": self._rule.name,
-                        "table": name,
-                        "kind": query.kind.value,
-                        "n_results": len(results),
-                    },
-                )
-            )
-        return results
-
-
 class ShardWorker:
     """One worker process: a shard of Gamma, a mesh endpoint, and the
     firing loop."""
@@ -197,19 +127,18 @@ class ShardWorker:
         self.placements = placements
         self.check_mode: str = conf["check_mode"]
         self.traced: bool = conf["traced"]
-        self.static_local: frozenset = conf["static_local"]
         self.transport: str = conf.get("transport", "pipe")
         self.incarnation: int = conf.get("incarnation", 0)
         self._fault_serve_die = conf.get("fault_serve_die")
         # the worker's shard rides on the existing step kernel: same
-        # registry construction, database, and timestamp machinery as a
-        # single-node sequential run (plans off — queries must route)
+        # registry construction, database, timestamp machinery and query
+        # plans as a single-node sequential run
         self.kernel = StepKernel(
             program,
             ExecOptions(
                 strategy="sequential",
                 causality_check=self.check_mode,
-                plan_cache=False,
+                plan_cache=conf["plan_cache"],
                 metering="off",
             ),
         )
@@ -560,8 +489,11 @@ class ShardWorker:
         ts = self.db.timestamp(tup)
         for rule in self.program.rules_for(tup.schema.name):
             events: list | None = [] if self.traced else None
-            ctx = _ShardRuleContext(
-                self,
+            ctx = RoutedRuleContext(
+                self.placements,
+                self.node,
+                self.n_nodes,
+                self.remote_query,
                 self.db,
                 self.program.decls,
                 NULL_METER,
@@ -573,7 +505,7 @@ class ShardWorker:
                 None,
                 None,
                 events,
-                None,
+                self.kernel._plans,
             )
             rule.body(ctx, tup)
             ctx.finish()
@@ -589,10 +521,11 @@ class ShardWorker:
 
     # -- remote queries ------------------------------------------------------
 
-    def remote_query(self, query: Query, homes: list[int]) -> list:
+    def remote_query(self, query: Query, homes: list[int]) -> dict[int, list[JTuple]]:
         """Gather a query's rows from the owning shard(s), directly over
-        the mesh.  Only the shippable parts travel (table, eq, ranges) —
-        residual ``where`` lambdas are applied requester-side.  While
+        the mesh, as ``{home: rows}``.  Only the shippable parts travel
+        (table, eq, ranges) — residual ``where`` lambdas are applied
+        requester-side.  While
         blocked on an answer, the worker keeps serving incoming peer
         queries and draining stage traffic, which is what keeps the
         direct all-to-all exchange deadlock-free.  A dead responder is
@@ -614,12 +547,14 @@ class ShardWorker:
         awaiting = set(homes)
         for h in homes:
             self._peer_send(h, msg)
-        rows: list = []
+        table = query.schema.name
+        rows: dict[int, list[JTuple]] = {}
         while awaiting:
             for node, part in self._answers.pop(qid, ()):
                 if node in awaiting:
                     awaiting.discard(node)
-                    rows.extend(part)
+                    fetched = (self.make_tuple(table, vals) for vals in part)
+                    rows[node] = [t for t in fetched if query.matches(t)]
             if not awaiting:
                 break
             self._service_inbox()
@@ -665,6 +600,9 @@ class ShardWorker:
     # -- teardown ------------------------------------------------------------
 
     def _finish(self) -> None:
+        # fold the compiled-plan query tallies into the collector, so the
+        # coordinator's merged query shapes count planned queries too
+        self.kernel.flush_stats()
         self._send(
             {
                 "t": "bye",

@@ -407,3 +407,51 @@ class TestExecKnobSurfacing:
             counter_program(), n_nodes=2, exec_options=ExecOptions()
         )
         assert r.stats.notes == []
+
+
+def broadcast_print_program() -> Program:
+    """Item k = 0..7 lands first; a later Go tuple's rule prints every
+    row of an unbound (broadcast) ``ctx.get(Item)``."""
+    p = Program("bcast_print")
+    Item = p.table("Item", "int k -> int v", orderby=("A", "seq k"))
+    Go = p.table("Go", "int g", orderby=("B", "seq g"))
+    p.order("A", "B")
+
+    @p.foreach(Go)
+    def dump(ctx, g):
+        for row in ctx.get(Item):
+            ctx.println(f"item {row.k} {row.v}")
+
+    for k in range(8):
+        p.put(Item.new(k, k * 10))
+    p.put(Go.new(0))
+    return p
+
+
+class TestQueryRouting:
+    def test_broadcast_rows_merge_in_single_node_order(self):
+        ref = broadcast_print_program().run().output
+        assert ref == [f"item {k} {k * 10}" for k in range(8)]
+        for nodes in (2, 4):
+            r = run_distributed(broadcast_print_program(), n_nodes=nodes)
+            assert r.output == ref, nodes
+
+    def test_query_homes(self):
+        from repro.core.query import Query, QueryKind
+
+        p = broadcast_print_program()
+        item = p.schemas()["Item"]
+
+        def homes(placement, eq):
+            pm = PlacementMap(p.schemas(), {"Item": placement}, n_nodes=4)
+            q = Query(item, eq, {}, None, QueryKind.POSITIVE)
+            return pm.query_homes(q, 4)
+
+        assert homes(Replicated(), {}) is None
+        assert homes(Replicated(), {0: 3}) is None
+        assert homes(OnNode(2), {}) == [2]
+        assert homes(OnNode(2), {0: 3}) == [2]
+        # partition field bound: its one home; unbound: every node
+        assert homes(Partitioned("k"), {0: 5}) == [_stable_hash(5) % 4]
+        assert homes(Partitioned("k"), {1: 50}) == [0, 1, 2, 3]
+        assert homes(Partitioned("k"), {}) == [0, 1, 2, 3]

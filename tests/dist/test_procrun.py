@@ -386,3 +386,30 @@ class TestPlacementValidation:
             ProcessShardRuntime(
                 counter_program(), n_workers=2, placements={"Log": OnNode(7)}
             )
+
+
+class TestBroadcastOrder:
+    def test_broadcast_rows_merge_in_single_node_order(self):
+        from tests.dist.test_dist import broadcast_print_program
+
+        ref = broadcast_print_program().run()
+        got = run_sharded(broadcast_print_program(), n_workers=2)
+        assert got.output == ref.output
+        assert got.output == [f"item {k} {k * 10}" for k in range(8)]
+
+
+class TestWorkerPlanCache:
+    @pytest.mark.parametrize("plan_cache", [True, False])
+    def test_query_stats_match_sequential(self, plan_cache):
+        """Workers honour plan_cache; queries answered on the compiled-plan
+        path still reach the coordinator's merged query statistics."""
+        ref = run_shortestpath(SPEC, ExecOptions(), n_gen_tasks=4)
+        got = run_shortestpath(
+            SPEC,
+            ExecOptions(strategy="processes", threads=2, plan_cache=plan_cache),
+            n_gen_tasks=4,
+        )
+        assert got.output_text() == ref.output_text()
+        assert got.stats.query_shapes == ref.stats.query_shapes
+        assert got.stats.rule_query_shapes == ref.stats.rule_query_shapes
+        assert not any("plan_cache" in n for n in got.stats.notes)
